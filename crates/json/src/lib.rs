@@ -65,6 +65,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -268,12 +269,13 @@ fn write_escaped(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -392,10 +394,28 @@ impl Parser<'_> {
         }
     }
 
+    /// The input between two byte offsets; they always fall on ASCII
+    /// bytes here, hence on character boundaries.
+    fn slice(&self, start: usize, what: &str) -> Result<&'a str, JsonError> {
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err(format!("invalid {what}")))
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, backslash or
+            // control byte in one go.
+            let start = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(self.slice(start, "UTF-8")?);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -442,17 +462,7 @@ impl Parser<'_> {
                         other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -492,7 +502,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let text = self.slice(start, "number")?;
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Json::Number(n)),
             Ok(_) => Err(self.err(format!("number `{text}` overflows f64"))),
@@ -534,6 +544,46 @@ mod tests {
         assert_eq!(v.as_str(), Some("\u{1F600}"));
         assert!(Json::parse(r#""\ud83d""#).is_err());
         assert!(Json::parse(r#""\ud83dA""#).is_err());
+    }
+
+    #[test]
+    fn control_byte_deep_in_a_plain_run_is_rejected_at_its_offset() {
+        let text = format!("\"{}\u{1}tail\"", "a".repeat(5_000));
+        let err = Json::parse(&text).unwrap_err();
+        assert_eq!(err.offset, 5_001);
+        assert_eq!(err.message, "unescaped control character in string");
+        // After an escape, too.
+        let err = Json::parse("[\"ab\\n\u{1f}\"]").unwrap_err();
+        assert_eq!(err.offset, 6);
+    }
+
+    #[test]
+    fn multibyte_runs_survive_next_to_escapes() {
+        let v = Json::parse(r#""h\u00e9llo wörld\n日本語\"ñ\"\tü""#).unwrap();
+        assert_eq!(v.as_str(), Some("héllo wörld\n日本語\"ñ\"\tü"));
+        let original = Json::String("α\\β\"γ\n€".repeat(100));
+        assert_eq!(Json::parse(&original.render()).unwrap(), original);
+    }
+
+    #[test]
+    fn surrogate_pair_after_a_plain_run_decodes() {
+        let v = Json::parse(r#"{"k":"plain run \ud83d\ude00 after"}"#).unwrap();
+        assert_eq!(
+            v.get("k").and_then(Json::as_str),
+            Some("plain run 😀 after")
+        );
+    }
+
+    #[test]
+    fn four_mib_string_parses() {
+        // One character at a time with the rest of the input re-validated
+        // per step, this would take hours; a linear scan takes milliseconds.
+        let body = "x".repeat(4 << 20);
+        let v = Json::parse(&format!("{{\"csv\":\"{body}\"}}")).unwrap();
+        assert_eq!(
+            v.get("csv").and_then(Json::as_str).map(str::len),
+            Some(4 << 20)
+        );
     }
 
     #[test]

@@ -10,74 +10,117 @@ use crate::relation::Relation;
 use crate::schema::{Attribute, RelationSchema};
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
+
+/// CSV text split into records of raw fields. Fields borrow from the input;
+/// only a field whose text is not one contiguous slice of it (a quoted field
+/// with doubled quotes, or one broken by a swallowed `\r`) is owned.
+#[derive(Debug, Default)]
+pub struct Records<'a> {
+    fields: Vec<Cow<'a, str>>,
+    /// Record `i` is `fields[ends[i - 1]..ends[i]]` (from 0 for the first).
+    ends: Vec<usize>,
+}
+
+impl<'a> Records<'a> {
+    /// The records in order, each as its fields.
+    pub fn iter(&self) -> impl Iterator<Item = &[Cow<'a, str>]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.fields[start..end])
+    }
+}
 
 /// Split CSV text into records of raw string fields.
 ///
 /// Returns an error for an unterminated quoted field or stray quote.
-pub fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
+pub fn parse_records(text: &str) -> Result<Records<'_>> {
+    let bytes = text.as_bytes();
+    let mut records = Records::default();
+    // The current field as byte ranges of `text` (adjacent ones merged).
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    let push = |ranges: &mut Vec<(usize, usize)>, start: usize, end: usize| {
+        if start == end {
+            return;
+        }
+        match ranges.last_mut() {
+            Some(last) if last.1 == start => last.1 = end,
+            _ => ranges.push((start, end)),
+        }
+    };
     let mut line = 1usize;
-    let mut chars = text.chars().peekable();
-    let mut any = false;
-
-    while let Some(c) = chars.next() {
-        any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && !matches!(bytes[i], b'"' | b',' | b'\r' | b'\n') {
+            i += 1;
+        }
+        push(&mut ranges, start, i);
+        let Some(&b) = bytes.get(i) else { break };
+        i += 1;
+        match b {
+            b'"' => {
+                if !ranges.is_empty() {
+                    return Err(RelationError::Csv {
+                        line,
+                        message: "quote in the middle of an unquoted field".into(),
+                    });
+                }
+                // Quoted text runs to the next lone quote; `""` is a quote.
+                loop {
+                    let start = i;
+                    while i < bytes.len() && bytes[i] != b'"' {
+                        if bytes[i] == b'\n' {
+                            line += 1;
+                        }
+                        i += 1;
                     }
-                }
-                '\n' => {
-                    line += 1;
-                    field.push(c);
-                }
-                _ => field.push(c),
-            }
-        } else {
-            match c {
-                '"' => {
-                    if !field.is_empty() {
+                    if i == bytes.len() {
                         return Err(RelationError::Csv {
                             line,
-                            message: "quote in the middle of an unquoted field".into(),
+                            message: "unterminated quoted field".into(),
                         });
                     }
-                    in_quotes = true;
+                    if bytes.get(i + 1) == Some(&b'"') {
+                        push(&mut ranges, start, i + 1);
+                        i += 2;
+                    } else {
+                        push(&mut ranges, start, i);
+                        i += 1;
+                        break;
+                    }
                 }
-                ',' => {
-                    record.push(std::mem::take(&mut field));
-                }
-                '\r' => {
-                    // Swallow; the following '\n' terminates the record.
-                }
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                    line += 1;
-                }
-                _ => field.push(c),
             }
+            b',' => records.fields.push(field(text, &mut ranges)),
+            b'\n' => {
+                records.fields.push(field(text, &mut ranges));
+                records.ends.push(records.fields.len());
+                line += 1;
+            }
+            // `\r` is swallowed; the following `\n` terminates the record.
+            _ => {}
         }
     }
-    if in_quotes {
-        return Err(RelationError::Csv {
-            line,
-            message: "unterminated quoted field".into(),
-        });
-    }
-    if any && (!field.is_empty() || !record.is_empty()) {
-        record.push(field);
-        records.push(record);
+    let open = records.ends.last().copied().unwrap_or(0) < records.fields.len();
+    if !ranges.is_empty() || open {
+        records.fields.push(field(text, &mut ranges));
+        records.ends.push(records.fields.len());
     }
     Ok(records)
+}
+
+/// Take the field collected in `ranges`: a slice of `text` when it is one
+/// range (all range ends sit next to ASCII delimiters, so on character
+/// boundaries), else the concatenation.
+fn field<'a>(text: &'a str, ranges: &mut Vec<(usize, usize)>) -> Cow<'a, str> {
+    let field = match ranges.as_slice() {
+        [] => Cow::Borrowed(""),
+        &[(start, end)] => Cow::Borrowed(&text[start..end]),
+        many => Cow::Owned(many.iter().map(|&(start, end)| &text[start..end]).collect()),
+    };
+    ranges.clear();
+    field
 }
 
 /// Read a relation from CSV text, inferring a column type from the observed
@@ -86,61 +129,70 @@ pub fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
 /// every non-empty field is `true`/`false`, else `Text`.
 pub fn read_relation(name: impl Into<String>, text: &str) -> Result<Relation> {
     let records = parse_records(text)?;
-    let name = name.into();
-    let mut it = records.into_iter();
+    let mut it = records.iter();
     let header = it.next().ok_or(RelationError::Csv {
         line: 1,
         message: "missing header record".into(),
     })?;
-    let body: Vec<Vec<String>> = it.collect();
+    let body: Vec<&[Cow<str>]> = it.collect();
 
-    let mut types = vec![DataType::Text; header.len()];
-    for (col, ty) in types.iter_mut().enumerate() {
-        let mut current: Option<DataType> = None;
-        for rec in &body {
-            let raw = rec.get(col).map(String::as_str).unwrap_or("");
-            if raw.trim().is_empty() {
-                continue;
+    // Every field is parsed once, as its narrowest value; the second pass
+    // re-parses only the fields of a wider column type.
+    let mut inferred: Vec<Value> = Vec::with_capacity(body.len() * header.len());
+    let mut types: Vec<Option<DataType>> = vec![None; header.len()];
+    for rec in &body {
+        for (col, raw) in rec.iter().enumerate() {
+            let value = Value::infer(raw);
+            if let (Some(ty), Some(observed)) = (types.get_mut(col), value.data_type()) {
+                *ty = Some(ty.map_or(observed, |current| widen(current, observed)));
             }
-            let observed = Value::infer(raw)
-                .data_type()
-                .expect("non-empty field infers to a typed value");
-            current = Some(match current {
-                None => observed,
-                Some(c) => widen(c, observed),
-            });
+            inferred.push(value);
         }
-        *ty = current.unwrap_or(DataType::Text);
     }
 
     let schema = RelationSchema::new(
-        name.clone(),
+        name,
         header
             .iter()
             .zip(&types)
-            .map(|(h, &t)| Attribute::new(h.trim(), t))
+            .map(|(h, t)| Attribute::new(h.trim(), t.unwrap_or(DataType::Text)))
             .collect(),
     )?;
+    read_body(Relation::empty(schema), &body, inferred)
+}
 
-    let mut rel = Relation::empty(schema);
+/// Parse `body` records against `rel`'s schema and append them. `inferred`
+/// holds the fields' narrowest values in order, or nothing: a field whose
+/// value already has its column's type (or is null) is taken as is, any
+/// other is parsed as the column's type.
+fn read_body(
+    mut rel: Relation,
+    body: &[&[Cow<str>]],
+    mut inferred: Vec<Value>,
+) -> Result<Relation> {
+    let types: Vec<DataType> = rel.schema().attributes().iter().map(|a| a.dtype).collect();
+    let mut cells = inferred.iter_mut();
     rel.reserve(body.len());
     for (i, rec) in body.iter().enumerate() {
-        if rec.len() != header.len() {
+        if rec.len() != types.len() {
             return Err(RelationError::Csv {
                 line: i + 2,
-                message: format!("expected {} fields, found {}", header.len(), rec.len()),
+                message: format!("expected {} fields, found {}", types.len(), rec.len()),
             });
         }
-        let values: Vec<Value> = rec
-            .iter()
-            .zip(&types)
-            .map(|(raw, &t)| {
-                Value::parse_as(raw, t).ok_or_else(|| RelationError::Csv {
+        let mut values = Vec::with_capacity(types.len());
+        for (raw, &t) in rec.iter().zip(&types) {
+            let value = match cells.next() {
+                Some(v) if v.data_type().is_none_or(|vt| vt == t) => {
+                    std::mem::replace(v, Value::Null)
+                }
+                _ => Value::parse_as(raw, t).ok_or_else(|| RelationError::Csv {
                     line: i + 2,
                     message: format!("field `{raw}` does not parse as {t}"),
-                })
-            })
-            .collect::<Result<_>>()?;
+                })?,
+            };
+            values.push(value);
+        }
         rel.push(Tuple::new(values))?;
     }
     Ok(rel)
@@ -150,7 +202,7 @@ pub fn read_relation(name: impl Into<String>, text: &str) -> Result<Relation> {
 /// (header names must match the schema's attribute names, in order).
 pub fn read_relation_typed(schema: RelationSchema, text: &str) -> Result<Relation> {
     let records = parse_records(text)?;
-    let mut it = records.into_iter();
+    let mut it = records.iter();
     let header = it.next().ok_or(RelationError::Csv {
         line: 1,
         message: "missing header record".into(),
@@ -166,31 +218,8 @@ pub fn read_relation_typed(schema: RelationSchema, text: &str) -> Result<Relatio
             message: format!("header does not match schema `{schema}`"),
         });
     }
-    let mut rel = Relation::empty(schema);
-    for (i, rec) in it.enumerate() {
-        if rec.len() != rel.schema().arity() {
-            return Err(RelationError::Csv {
-                line: i + 2,
-                message: format!(
-                    "expected {} fields, found {}",
-                    rel.schema().arity(),
-                    rec.len()
-                ),
-            });
-        }
-        let values: Vec<Value> = rec
-            .iter()
-            .zip(rel.schema().attributes().to_vec())
-            .map(|(raw, attr)| {
-                Value::parse_as(raw, attr.dtype).ok_or_else(|| RelationError::Csv {
-                    line: i + 2,
-                    message: format!("field `{raw}` does not parse as {}", attr.dtype),
-                })
-            })
-            .collect::<Result<_>>()?;
-        rel.push(Tuple::new(values))?;
-    }
-    Ok(rel)
+    let body: Vec<&[Cow<str>]> = it.collect();
+    read_body(Relation::empty(schema), &body, Vec::new())
 }
 
 /// Serialize a relation to CSV text (header + records, quoting only when
