@@ -28,7 +28,8 @@ fn fixture() -> (Engine, JoinPredicate) {
 
 /// Same, with a chosen per-relation arity: the cross-relation universe
 /// has `arity²` atoms (16 → 256 atoms, 32 → 1024), the widths where the
-/// version-space sweeps run multi-word `jim-simd` kernels per pair.
+/// version-space sweeps run the `jim-simd` batch kernels over multi-word
+/// rows.
 fn fixture_with(arity: usize, rows: usize) -> (Engine, JoinPredicate) {
     let db = generate(&RandomDbConfig::uniform(2, arity, rows, 3, 42));
     let wb = Workbench::new(db, &["r1", "r2"]);

@@ -1,8 +1,8 @@
 //! Kernel-level bench for `jim-simd`: every backend available on this
-//! host, at the two widths the acceptance bar names — 256-atom (4-word)
-//! and 1024-atom (16-word) universes — across the three kernels the
-//! engine's hot paths dispatch: `popcount`, the pairwise subset test,
-//! and the batched `subsumed_mask` antichain sweep.
+//! host, at three universe widths — 64 atoms (one word, the width every
+//! benchmark workload runs at), 256 atoms (4 words) and 1024 atoms (16
+//! words) — across the kernels the engine dispatches: `popcount` and the
+//! batched `subsumed_mask` antichain sweep.
 //!
 //! Unlike the other benches this one needs the measured numbers (to
 //! compute backend speedups and emit `BENCH_simd.json`), which the
@@ -41,10 +41,6 @@ mod scalar_ref {
             }
         }
         true
-    }
-
-    pub fn subset_pair(a: &[u64], b: &[u64]) -> bool {
-        subset(a, b)
     }
 
     pub fn subsumed_mask(rows: &[u64], negs: &[u64], width: usize, out: &mut Vec<bool>) {
@@ -105,8 +101,8 @@ struct Sample {
     bits: usize,
     backend: &'static str,
     ns_per_iter: f64,
-    /// Work items per iteration (pairs for subset, rows×negs for the
-    /// sweep, words for popcount) — for like-for-like rate comparison.
+    /// Work items per iteration (rows×negs for the sweep, sets for
+    /// popcount) — for like-for-like rate comparison.
     items: u64,
 }
 
@@ -130,7 +126,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(42);
     let mut samples: Vec<Sample> = Vec::new();
 
-    for &bits in &[256usize, 1024] {
+    for &bits in &[64usize, 256, 1024] {
         let width = bits / 64;
         // Popcount input: a packed arena of 256 sets, counted in ONE
         // kernel call per iteration — the packed-rows layout the engine's
@@ -186,12 +182,6 @@ fn main() {
         };
         let mut mask = Vec::with_capacity(ROWS);
 
-        // Pairwise subset over the same strided arenas (per-pair calls
-        // through the dispatch layer — the `AtomSet::is_subset` shape),
-        // reported for completeness; the batch kernels above are the
-        // headline.
-        let arena_b = random_pack(&mut rng, SETS, width);
-
         // The scalar baseline row, measured on the exact same inputs.
         let ns = measure(2_000, || scalar_ref::popcount(&arena));
         println!("bench simd/popcount/{bits}b/scalar: {ns:.0} ns/iter ({SETS} packed sets)");
@@ -213,23 +203,6 @@ fn main() {
             backend: "scalar",
             ns_per_iter: ns,
             items: (ROWS * NEGS) as u64,
-        });
-        let ns = measure(2_000, || {
-            let mut acc = 0u32;
-            for i in 0..SETS {
-                let a = &rows[(i % ROWS) * width..((i % ROWS) + 1) * width];
-                let b = &arena_b[i * width..(i + 1) * width];
-                acc += scalar_ref::subset_pair(a, b) as u32;
-            }
-            acc
-        });
-        println!("bench simd/subset/{bits}b/scalar: {ns:.0} ns/iter ({SETS} pairs)");
-        samples.push(Sample {
-            kernel: "subset",
-            bits,
-            backend: "scalar",
-            ns_per_iter: ns,
-            items: SETS as u64,
         });
 
         for &backend in &backends {
@@ -261,24 +234,6 @@ fn main() {
                 backend: name,
                 ns_per_iter: ns,
                 items: (ROWS * NEGS) as u64,
-            });
-
-            let ns = measure(2_000, || {
-                let mut acc = 0u32;
-                for i in 0..SETS {
-                    let a = &rows[(i % ROWS) * width..((i % ROWS) + 1) * width];
-                    let b = &arena_b[i * width..(i + 1) * width];
-                    acc += backend.subset(a, b) as u32;
-                }
-                acc
-            });
-            println!("bench simd/subset/{bits}b/{name}: {ns:.0} ns/iter ({SETS} pairs)");
-            samples.push(Sample {
-                kernel: "subset",
-                bits,
-                backend: name,
-                ns_per_iter: ns,
-                items: SETS as u64,
             });
         }
     }

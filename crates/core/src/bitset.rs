@@ -2,10 +2,13 @@
 //!
 //! Everything JIM computes — signatures `Θ(t)`, the upper bound `U`, negative
 //! antichains, predicates — is a subset of one fixed, small atom universe, so
-//! a packed `u64` bitset with subset/intersection kernels is the workhorse
-//! data structure. The word-level loops live in `jim-simd` (runtime-dispatched
-//! AVX2 / portable / scalar backends, selectable via `JIM_SIMD`); this module
-//! owns the bit-level semantics on top of them:
+//! a packed `u64` bitset with subset/intersection operations is the workhorse
+//! data structure. In every workload the universe fits one or a few words,
+//! so the pairwise operations are plain inline word loops here: a call
+//! through a runtime dispatch would cost more than the work. Two jobs go to
+//! `jim-simd` instead: [`AtomSet::len`] (hardware `popcnt` is reachable only
+//! through its dispatched AVX2 backend) and the batch sweeps over
+//! [`PackedAtomSets`]. This module owns the bit-level semantics:
 //!
 //! * the **tail invariant** — bits at positions `>= nbits` in the last block
 //!   are always zero, so popcount, equality and hashing are exact; every
@@ -139,13 +142,35 @@ impl AtomSet {
         );
     }
 
+    /// The word-wise combination `op(self, other)` as a new set. Every
+    /// `op` used maps two zero tail bits to zero, so the tail invariant
+    /// holds.
+    #[inline]
+    fn zip_with(&self, other: &AtomSet, op: impl Fn(u64, u64) -> u64) -> AtomSet {
+        self.check_same_universe(other);
+        AtomSet {
+            nbits: self.nbits,
+            blocks: self
+                .blocks
+                .iter()
+                .zip(other.blocks.iter())
+                .map(|(&x, &y)| op(x, y))
+                .collect(),
+        }
+    }
+
     /// `self ⊆ other`.
+    #[inline]
     pub fn is_subset(&self, other: &AtomSet) -> bool {
         self.check_same_universe(other);
-        jim_simd::subset(&self.blocks, &other.blocks)
+        self.blocks
+            .iter()
+            .zip(other.blocks.iter())
+            .all(|(&x, &y)| x & !y == 0)
     }
 
     /// `self ⊇ other`.
+    #[inline]
     pub fn is_superset(&self, other: &AtomSet) -> bool {
         other.is_subset(self)
     }
@@ -156,54 +181,68 @@ impl AtomSet {
     }
 
     /// New set `self ∩ other`.
+    #[inline]
     pub fn intersection(&self, other: &AtomSet) -> AtomSet {
-        self.check_same_universe(other);
-        let mut out = AtomSet::empty(self.nbits as usize);
-        jim_simd::and_into(&self.blocks, &other.blocks, &mut out.blocks);
-        out
+        self.zip_with(other, |x, y| x & y)
     }
 
-    /// Write `self ∩ other` into `out` without allocating — the kernel the
-    /// lookahead simulation loop runs once per candidate, so it reuses one
-    /// scratch set instead of allocating a fresh `AtomSet` each time.
+    /// Write `self ∩ other` into `out` without allocating — the operation
+    /// the lookahead simulation loop runs once per candidate, so it reuses
+    /// one scratch set instead of allocating a fresh `AtomSet` each time.
+    #[inline]
     pub fn intersection_into(&self, other: &AtomSet, out: &mut AtomSet) {
         self.check_same_universe(other);
         self.check_same_universe(out);
-        jim_simd::and_into(&self.blocks, &other.blocks, &mut out.blocks);
+        for ((o, &x), &y) in out
+            .blocks
+            .iter_mut()
+            .zip(self.blocks.iter())
+            .zip(other.blocks.iter())
+        {
+            *o = x & y;
+        }
     }
 
     /// In-place `self ∩= other`.
+    #[inline]
     pub fn intersect_with(&mut self, other: &AtomSet) {
         self.check_same_universe(other);
-        jim_simd::and_assign(&mut self.blocks, &other.blocks);
+        for (x, &y) in self.blocks.iter_mut().zip(other.blocks.iter()) {
+            *x &= y;
+        }
     }
 
     /// New set `self ∪ other`.
+    #[inline]
     pub fn union(&self, other: &AtomSet) -> AtomSet {
-        self.check_same_universe(other);
-        let mut out = AtomSet::empty(self.nbits as usize);
-        jim_simd::or_into(&self.blocks, &other.blocks, &mut out.blocks);
-        out
+        self.zip_with(other, |x, y| x | y)
     }
 
     /// New set `self \ other`.
+    #[inline]
     pub fn difference(&self, other: &AtomSet) -> AtomSet {
-        self.check_same_universe(other);
-        let mut out = AtomSet::empty(self.nbits as usize);
-        jim_simd::and_not_into(&self.blocks, &other.blocks, &mut out.blocks);
-        out
+        self.zip_with(other, |x, y| x & !y)
     }
 
     /// True iff the sets share at least one atom.
+    #[inline]
     pub fn intersects(&self, other: &AtomSet) -> bool {
         self.check_same_universe(other);
-        jim_simd::intersects(&self.blocks, &other.blocks)
+        self.blocks
+            .iter()
+            .zip(other.blocks.iter())
+            .any(|(&x, &y)| x & y != 0)
     }
 
     /// `|self ∩ other|` without allocating.
+    #[inline]
     pub fn intersection_len(&self, other: &AtomSet) -> usize {
         self.check_same_universe(other);
-        jim_simd::intersection_count(&self.blocks, &other.blocks) as usize
+        self.blocks
+            .iter()
+            .zip(other.blocks.iter())
+            .map(|(&x, &y)| (x & y).count_ones() as usize)
+            .sum()
     }
 
     /// Iterate over present atom indices in increasing order.
@@ -674,16 +713,18 @@ mod tests {
         }
     }
 
-    // ------------------------------- tail invariant (property tests)
+    // ------------------ tail invariant and model (property tests)
 
     /// Every mutator — and every operation that builds a new set — must
     /// keep the bits beyond `nbits` zero, at capacities around every word
-    /// boundary. The checks read the raw blocks, which only this module
-    /// can see, so the properties live here rather than in the
+    /// boundary, and every operation must agree with a `BTreeSet` model.
+    /// The tail checks read the raw blocks, which only this module can
+    /// see, so the properties live here rather than in the
     /// workspace-level proptest suite.
     mod tail_invariant {
         use super::super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
 
         /// The capacities the satellite task pins: empty, sub-word, at and
         /// around one- and two-word boundaries.
@@ -760,6 +801,45 @@ mod tests {
                     a.union(&b).len() + a.intersection_len(&b),
                     a.len() + b.len()
                 );
+
+                // Every operation against a `BTreeSet` model built from
+                // the picks alone. `s` is a subset of `a` by construction,
+                // so the subset tests see both verdicts whatever the picks.
+                let half = &picks_a[..picks_a.len() / 2];
+                let s = build(cap, half);
+                let model = |picks: &[usize]| -> BTreeSet<usize> {
+                    picks.iter().filter_map(|p| p.checked_rem(cap)).collect()
+                };
+                let expect = |m: BTreeSet<usize>| AtomSet::from_indices(cap, m);
+                let cases = [(&a, model(&picks_a)), (&b, model(&picks_b)), (&s, model(half))];
+                for (x, mx) in &cases {
+                    prop_assert_eq!(x.len(), mx.len());
+                    prop_assert_eq!(x.is_empty(), mx.is_empty());
+                    prop_assert!(x.iter().eq(mx.iter().copied()));
+                    for i in 0..cap {
+                        prop_assert_eq!(x.contains(i), mx.contains(&i));
+                    }
+                    for (y, my) in &cases {
+                        let meet: BTreeSet<usize> = mx.intersection(my).copied().collect();
+                        prop_assert_eq!(x.is_subset(y), mx.is_subset(my));
+                        prop_assert_eq!(x.is_superset(y), mx.is_superset(my));
+                        prop_assert_eq!(x.is_proper_subset(y), mx.is_subset(my) && mx != my);
+                        prop_assert_eq!(x.intersection(y), expect(meet.clone()));
+                        let mut into = AtomSet::full(cap);
+                        x.intersection_into(y, &mut into);
+                        prop_assert_eq!(&into, &expect(meet.clone()));
+                        let mut with = (*x).clone();
+                        with.intersect_with(y);
+                        prop_assert_eq!(&with, &expect(meet.clone()));
+                        prop_assert_eq!(x.union(y), expect(mx.union(my).copied().collect()));
+                        prop_assert_eq!(
+                            x.difference(y),
+                            expect(mx.difference(my).copied().collect())
+                        );
+                        prop_assert_eq!(x.intersects(y), !meet.is_empty());
+                        prop_assert_eq!(x.intersection_len(y), meet.len());
+                    }
+                }
             }
         }
     }

@@ -12,7 +12,7 @@
 //! from the full group table on every query, which made each question
 //! O(groups × simulations) for the lookahead family. The engine now keeps
 //! an **incrementally maintained candidate index**, updated in place by
-//! [`Engine::label`] (and its propagation) and [`Engine::absorb_ids`]:
+//! [`Engine::label`] and its propagation:
 //!
 //! * a **negative** label leaves `U` untouched, so restricted signatures
 //!   are stable — candidates subsumed by the new negative are dropped
@@ -96,9 +96,8 @@ impl GroupMembers {
     }
 
     /// The canonical representative: the first member id. Construction
-    /// feeds ids in ascending rank order in every mode, so at build time
-    /// this is the group minimum (later absorbs may append smaller ids —
-    /// the representative deliberately stays stable).
+    /// feeds ids in ascending rank order in every mode, so this is the
+    /// group minimum.
     fn rep(&self) -> ProductId {
         match self {
             GroupMembers::Explicit(ids) => ids[0],
@@ -118,9 +117,10 @@ impl GroupMembers {
     fn push(&mut self, id: ProductId) {
         match self {
             GroupMembers::Explicit(ids) => ids.push(id),
-            // `absorb_ids` early-returns on factorized engines, the only
-            // place counted groups exist.
-            GroupMembers::Counted { .. } => unreachable!("counted groups never absorb ids"),
+            // Only the enumerating constructors push ids, and they build
+            // explicit groups; counted groups come whole from a
+            // factorized sweep.
+            GroupMembers::Counted { .. } => unreachable!("counted groups never gain ids"),
         }
     }
 }
@@ -200,7 +200,7 @@ pub struct Candidate {
 /// A borrowed, allocation-free view of the engine's maintained candidate
 /// index — what strategies rank instead of materializing their own list.
 /// The `generation` identifies the engine state the slice reflects; any
-/// label or absorb invalidates it (the borrow checker enforces that
+/// label invalidates it (the borrow checker enforces that
 /// locally, the counter lets owned caches detect it across requests).
 #[derive(Debug, Clone, Copy)]
 pub struct CandidateView<'a> {
@@ -258,7 +258,7 @@ struct CandidateIndex {
     candidates: Vec<Candidate>,
     members: Vec<Vec<usize>>,
     by_restricted: HashMap<AtomSet, usize>,
-    /// Bumped on every engine mutation (label, absorb).
+    /// Bumped on every label, the only engine mutation.
     generation: u64,
     /// Total tuples across informative groups (= `stats.informative`).
     informative_tuples: u64,
@@ -510,7 +510,7 @@ impl Engine {
     }
 
     /// The generation counter of the candidate index: bumped on every
-    /// mutation (label, absorb), untouched by queries. Owned caches keyed
+    /// label, untouched by queries. Owned caches keyed
     /// on it (the server's per-session question cache) stay valid exactly
     /// while the engine state they were computed from does.
     pub fn generation(&self) -> u64 {
@@ -862,69 +862,6 @@ impl Engine {
         });
     }
 
-    /// Absorb additional candidate tuples mid-session — freshly arrived
-    /// data, or a widened sample of a huge product. Each new tuple is
-    /// classified under the labels given *so far*: tuples whose label is
-    /// already entailed arrive grayed out and are never asked about.
-    /// Ids already known are skipped. Returns the number of tuples added.
-    ///
-    /// A factorized engine already covers the **entire** product, so every
-    /// id is known by construction and the call is a no-op returning 0.
-    pub fn absorb_ids(&mut self, ids: &[ProductId]) -> Result<u64> {
-        if self.factorized {
-            return Ok(0);
-        }
-        let known: std::collections::HashSet<ProductId> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.members.witnesses().iter().copied())
-            .collect();
-        let mut added = 0u64;
-        for &id in ids {
-            if known.contains(&id) {
-                continue;
-            }
-            let tuple = self.product.tuple(id)?;
-            let sig = self.universe.signature(&tuple);
-            match self.by_sig.get(&sig) {
-                Some(&g) => {
-                    self.groups[g].members.push(id);
-                    if self.groups[g].class == TupleClass::Informative {
-                        // The group's restricted signature is a live index
-                        // key; its candidate gains one tuple (the group's
-                        // minimum is unchanged by an append).
-                        let restricted = self.vs.restrict(&self.groups[g].sig);
-                        let slot = self.index.by_restricted[&restricted];
-                        self.index.candidates[slot].count += 1;
-                        self.index.informative_tuples += 1;
-                    }
-                }
-                None => {
-                    let class = self.vs.classify(&sig);
-                    let g = self.groups.len();
-                    self.by_sig.insert(sig.clone(), g);
-                    if class == TupleClass::Informative {
-                        let restricted = self.vs.restrict(&sig);
-                        self.index.add_group(g, restricted, 1, id);
-                    }
-                    self.groups.push(Group {
-                        sig,
-                        members: GroupMembers::Explicit(vec![id]),
-                        class,
-                        labeled: 0,
-                    });
-                }
-            }
-            added += 1;
-        }
-        self.stats.total_tuples += added;
-        if added > 0 {
-            self.index.generation += 1;
-        }
-        self.refresh_counters();
-        Ok(added)
-    }
-
     /// Tuple ids currently *visible* to a free-form user: everything not
     /// yet explicitly labeled, and — when `gray_out` — not entailed either.
     /// (Interaction modes 1 and 2 of Figure 3.) A factorized engine shows
@@ -1238,60 +1175,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_ids_classifies_under_current_labels() {
-        let (f, h) = (flights(), hotels());
-        let p = Product::new(vec![&f, &h]).unwrap();
-        // Start from a 4-tuple sample; label (3)+ ((3) is rank 2).
-        let ids = [t(3), t(1), t(8), t(12)];
-        let mut e = Engine::from_ids(p, &ids, &EngineOptions::default()).unwrap();
-        e.label(t(3), Label::Positive).unwrap();
-        assert_eq!(e.stats().total_tuples, 4);
-
-        // Absorb the rest of the product; (4) shares (3)'s signature and
-        // must arrive certain-positive (never asked).
-        let rest: Vec<ProductId> = (0..12).map(ProductId).collect();
-        let added = e.absorb_ids(&rest).unwrap();
-        assert_eq!(added, 8);
-        assert_eq!(e.stats().total_tuples, 12);
-        assert_eq!(e.classify(t(4)).unwrap(), TupleClass::CertainPositive);
-        assert!(!e.is_informative(t(4)).unwrap());
-        // Duplicates are skipped idempotently.
-        assert_eq!(e.absorb_ids(&rest).unwrap(), 0);
-        assert_eq!(e.stats().total_tuples, 12);
-    }
-
-    #[test]
-    fn absorb_then_converge_equals_full_engine_result() {
-        let (f, h) = (flights(), hotels());
-        let u_goal;
-        // Converge on a sampled-then-absorbed engine.
-        let mut e = {
-            let p = Product::new(vec![&f, &h]).unwrap();
-            let mut e = Engine::from_ids(p, &[t(3), t(8)], &EngineOptions::default()).unwrap();
-            u_goal = {
-                let u = e.universe().clone();
-                let tc = u.id_by_names((0, "To"), (1, "City")).unwrap();
-                let ad = u.id_by_names((0, "Airline"), (1, "Discount")).unwrap();
-                JoinPredicate::of(u, [tc, ad])
-            };
-            e.absorb_ids(&(0..12).map(ProductId).collect::<Vec<_>>())
-                .unwrap();
-            e
-        };
-        // Answer every informative tuple truthfully.
-        while let Some(c) = e.candidates().candidates().first().cloned() {
-            let tuple = e.product().tuple(c.representative).unwrap();
-            e.label(c.representative, Label::from_bool(u_goal.selects(&tuple)))
-                .unwrap();
-        }
-        assert!(e.is_resolved());
-        assert!(e
-            .result()
-            .instance_equivalent(&u_goal, e.product())
-            .unwrap());
-    }
-
-    #[test]
     fn informative_groups_merge_after_upper_shrinks() {
         let (f, h) = (flights(), hotels());
         let mut e = engine(&f, &h);
@@ -1307,7 +1190,7 @@ mod tests {
     }
 
     /// The maintained index always equals a from-scratch reclassification,
-    /// through positives, negatives and mid-session absorbs.
+    /// through positives and negatives.
     #[test]
     fn index_matches_recompute_through_a_session() {
         fn sorted(mut v: Vec<Candidate>) -> Vec<Candidate> {
@@ -1322,12 +1205,6 @@ mod tests {
             sorted(e.recompute_candidates())
         );
         e.label(t(12), Label::Negative).unwrap();
-        assert_eq!(
-            sorted(e.candidates().candidates().to_vec()),
-            sorted(e.recompute_candidates())
-        );
-        e.absorb_ids(&(0..12).map(ProductId).collect::<Vec<_>>())
-            .unwrap();
         assert_eq!(
             sorted(e.candidates().candidates().to_vec()),
             sorted(e.recompute_candidates())
@@ -1515,20 +1392,6 @@ mod tests {
         assert_eq!(fe.entailed_positive_ids(), vec![t(3), t(4)]);
     }
 
-    /// A factorized engine already covers the whole product: absorbing ids
-    /// is a no-op and does not disturb caches.
-    #[test]
-    fn factorized_absorb_is_a_noop() {
-        let (f, h) = (flights(), hotels());
-        let p = Product::new(vec![&f, &h]).unwrap();
-        let mut fe = Engine::from_factorized(p, &EngineOptions::default()).unwrap();
-        let g0 = fe.generation();
-        let all: Vec<ProductId> = (0..12).map(ProductId).collect();
-        assert_eq!(fe.absorb_ids(&all).unwrap(), 0);
-        assert_eq!(fe.stats().total_tuples, 12);
-        assert_eq!(fe.generation(), g0);
-    }
-
     /// An exhausted sweep budget surfaces as the typed fallback signal.
     #[test]
     fn factorized_sweep_budget_is_typed() {
@@ -1555,10 +1418,6 @@ mod tests {
         let _ = e.recompute_candidates();
         assert_eq!(e.generation(), g0);
         e.label(t(12), Label::Positive).unwrap();
-        assert_eq!(e.generation(), g0 + 1);
-        // Absorbing only duplicates is a no-op and keeps caches valid.
-        let all: Vec<ProductId> = (0..12).map(ProductId).collect();
-        e.absorb_ids(&all).unwrap();
         assert_eq!(e.generation(), g0 + 1);
     }
 }

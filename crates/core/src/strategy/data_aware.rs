@@ -21,9 +21,8 @@ use jim_relation::ProductId;
 #[derive(Debug, Clone, Default)]
 pub struct DataAware {
     /// Per-atom selectivity in `[0, 1]`, computed lazily from the engine's
-    /// product on first use (the instance is immutable during a session —
-    /// [`Engine::absorb_ids`] mid-session invalidates nothing structurally,
-    /// it only makes these numbers slightly stale, so we keep them).
+    /// product on first use (the instance is immutable during a session,
+    /// so the numbers never go stale).
     selectivity: Option<Vec<f64>>,
 }
 

@@ -895,11 +895,12 @@ pub fn run(config: Config) -> Result<Report, String> {
         }
     };
     let _ = observer.request(&mut conn, Op::ListSessions, r#"{"op":"ListSessions"}"#)?;
-    observer.sent[Op::Metrics as usize] += 1;
-    let snapshot = conn.round_trip(r#"{"op":"Metrics"}"#)?;
-    let snapshot = Json::parse(snapshot.trim()).map_err(|e| format!("metrics response: {e}"))?;
+    let snapshot = observer.request(&mut conn, Op::Metrics, r#"{"op":"Metrics"}"#)?;
     for (i, &n) in observer.sent.iter().enumerate() {
         sent[i] += n;
+    }
+    for (i, h) in observer.latency.iter().enumerate() {
+        latency[i].merge(&h.snapshot());
     }
     protocol_errors += observer.protocol_errors;
     io_errors += observer.io_errors;
@@ -1329,6 +1330,10 @@ mod tests {
         assert_eq!(creates.get("count").unwrap().as_u64(), Some(6));
         assert!(json.get("server_store").unwrap().get("hits").is_some());
         assert_eq!(report.sheds, 0, "an uncapped run never sheds");
+        // Every request sent is also timed, the observer's included.
+        for (op, (sent, latency)) in Op::ALL.iter().zip(&report.ops) {
+            assert_eq!(latency.count(), *sent, "{} samples vs sent", op.name());
+        }
     }
 
     /// A miniature `--connections` preset: more workers than admission

@@ -326,8 +326,8 @@ impl ServerMetrics {
                 "uptime_secs",
                 Json::from(self.started.elapsed().as_secs_f64()),
             ),
-            // Which jim-simd kernel backend the engine's bitset sweeps
-            // run on ("avx2", "generic" or "off") — fixed at first
+            // Which jim-simd kernel backend the engine's popcount and
+            // batch sweeps run on ("avx2" or "off") — fixed at first
             // dispatch, surfaced so a fleet's metrics reveal hosts that
             // silently fell back to the portable path.
             ("simd_backend", Json::from(jim_simd::active_name())),
@@ -483,7 +483,7 @@ mod tests {
         // The snapshot names the kernel backend the engine dispatches to.
         let backend = json.get("simd_backend").unwrap().as_str().unwrap();
         assert!(
-            ["off", "generic", "avx2"].contains(&backend),
+            ["off", "avx2"].contains(&backend),
             "unexpected backend {backend:?}"
         );
     }

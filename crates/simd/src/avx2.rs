@@ -11,54 +11,20 @@
 //!
 //! Kernel notes:
 //!
-//! * `subset` / `intersects` test four words per step with
-//!   `vpandn` + `vptest` — the AND-NOT-is-empty form of `a ⊆ b`.
-//! * `popcount` / `intersection_count` use scalar `popcnt`, four
-//!   accumulators wide, at jim's usual working sizes (≤ a few dozen
-//!   words per signature). Past [`VECTOR_POPCOUNT_WORDS`] they switch to
-//!   the `vpshufb` nibble-LUT vector popcount (`popcount_nibble_lut`):
-//!   each 256-bit vector is split into low/high nibbles, both looked up
-//!   in an in-register 16-entry bit-count table, and the per-byte counts
-//!   collapse into four 64-bit lane sums via `vpsadbw` — 64 bytes of
-//!   bitset per loop with no port-1 `popcnt` bottleneck, which is where
-//!   the big factorized-construction arenas live.
-//! * The batch entry points (`subset_any`, `subsumed_mask`) stay inside
-//!   the feature context for the whole sweep: one runtime dispatch per
-//!   sweep, not per pair.
+//! * `popcount` is a plain `count_ones` loop; the feature context is
+//!   what turns it into hardware `popcnt` (the default x86_64 target
+//!   compiles `count_ones` to a software bit-twiddling sequence).
+//! * The batch sweeps (`subset_any`, `subsumed_mask`) test four words per
+//!   step with `vpandn` + `vptest` — the AND-NOT-is-empty form of
+//!   `a ⊆ b` — and stay inside the feature context for the whole sweep:
+//!   one runtime dispatch per sweep, not per pair.
 
 use std::arch::x86_64::{
-    __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_andnot_si256,
-    _mm256_loadu_si256, _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8,
-    _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_testz_si256,
+    __m256i, _mm256_andnot_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_testz_si256,
 };
 
 /// Words per 256-bit vector step.
 const LANES: usize = 4;
-
-/// Slice length (in words) at which the nibble-LUT vector popcount
-/// overtakes four scalar `popcnt` accumulators: the LUT path carries
-/// fixed setup (constants, the final lane fold) and only out-throughputs
-/// `popcnt` once the loop runs long enough to amortize it.
-const VECTOR_POPCOUNT_WORDS: usize = 64;
-
-/// The per-nibble bit-count table for `vpshufb`, one copy per 128-bit
-/// half (the shuffle looks up within each half independently).
-#[target_feature(enable = "avx2")]
-fn nibble_lut() -> __m256i {
-    _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-    )
-}
-
-/// Per-byte set-bit counts of one vector: both nibbles through the LUT.
-/// Every byte of the result is ≤ 8.
-#[target_feature(enable = "avx2")]
-fn byte_counts(v: __m256i, lut: __m256i, low: __m256i) -> __m256i {
-    let lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, low));
-    let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi16::<4>(v), low));
-    _mm256_add_epi8(lo, hi)
-}
 
 /// True iff the CPU supports this backend (AVX2 + POPCNT).
 pub fn available() -> bool {
@@ -93,55 +59,6 @@ pub fn popcount(a: &[u64]) -> u64 {
     unsafe { popcount_kernel(a) }
 }
 
-/// `a ⊆ b`, i.e. `a & !b == 0`.
-pub fn subset(a: &[u64], b: &[u64]) -> bool {
-    checked_entry!();
-    // SAFETY: detection proved avx2+popcnt.
-    unsafe { subset_kernel(a, b) }
-}
-
-/// True iff the slices share at least one set bit.
-pub fn intersects(a: &[u64], b: &[u64]) -> bool {
-    checked_entry!();
-    // SAFETY: detection proved avx2+popcnt.
-    unsafe { intersects_kernel(a, b) }
-}
-
-/// `|a ∩ b|`.
-pub fn intersection_count(a: &[u64], b: &[u64]) -> u64 {
-    checked_entry!();
-    // SAFETY: detection proved avx2+popcnt.
-    unsafe { intersection_count_kernel(a, b) }
-}
-
-/// `out = a & b`.
-pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    checked_entry!();
-    // SAFETY: detection proved avx2+popcnt.
-    unsafe { and_into_kernel(a, b, out) }
-}
-
-/// `a &= b` in place.
-pub fn and_assign(a: &mut [u64], b: &[u64]) {
-    checked_entry!();
-    // SAFETY: detection proved avx2+popcnt.
-    unsafe { and_assign_kernel(a, b) }
-}
-
-/// `out = a | b`.
-pub fn or_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    checked_entry!();
-    // SAFETY: detection proved avx2+popcnt.
-    unsafe { or_into_kernel(a, b, out) }
-}
-
-/// `out = a & !b`.
-pub fn and_not_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    checked_entry!();
-    // SAFETY: detection proved avx2+popcnt.
-    unsafe { and_not_into_kernel(a, b, out) }
-}
-
 /// `x ⊆ r` for some row `r` of `rows` (row-major, width = `x.len()`).
 pub fn subset_any(x: &[u64], rows: &[u64]) -> bool {
     checked_entry!();
@@ -158,57 +75,10 @@ pub fn subsumed_mask(rows: &[u64], negs: &[u64], width: usize, out: &mut Vec<boo
 
 // --- Kernels -----------------------------------------------------------
 
-/// Number of set bits across the slice.
+/// Number of set bits across the slice, one hardware `popcnt` per word.
 #[target_feature(enable = "avx2,popcnt")]
 fn popcount_kernel(a: &[u64]) -> u64 {
-    if a.len() >= VECTOR_POPCOUNT_WORDS {
-        return popcount_nibble_lut(a);
-    }
-    let mut chunks = a.chunks_exact(LANES);
-    let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
-    for c in chunks.by_ref() {
-        c0 += c[0].count_ones() as u64;
-        c1 += c[1].count_ones() as u64;
-        c2 += c[2].count_ones() as u64;
-        c3 += c[3].count_ones() as u64;
-    }
-    let tail: u64 = chunks
-        .remainder()
-        .iter()
-        .map(|&w| w.count_ones() as u64)
-        .sum();
-    c0 + c1 + c2 + c3 + tail
-}
-
-/// Fold four 64-bit lane sums into one scalar.
-#[target_feature(enable = "avx2")]
-fn lane_sum(acc: __m256i) -> u64 {
-    // SAFETY: `__m256i` is plain 256-bit data, layout-identical to four
-    // `u64` lanes.
-    let lanes: [u64; LANES] = unsafe { std::mem::transmute(acc) };
-    lanes[0] + lanes[1] + lanes[2] + lanes[3]
-}
-
-/// The Muła `vpshufb` nibble-LUT popcount — two vectors (eight words)
-/// per step. Each vector's bytes turn into per-byte set-bit counts
-/// (≤ 8); summing two such vectors with `_mm256_add_epi8` stays ≤ 16,
-/// far under a byte's 255 ceiling, so one `vpsadbw` per step collapses
-/// both into the 64-bit lane accumulator.
-#[target_feature(enable = "avx2")]
-fn popcount_nibble_lut(a: &[u64]) -> u64 {
-    let lut = nibble_lut();
-    let low = _mm256_set1_epi8(0x0f);
-    let zero = _mm256_setzero_si256();
-    let mut acc = zero;
-    let mut i = 0usize;
-    while i + 2 * LANES <= a.len() {
-        // SAFETY: `i + 2·LANES <= len` bounds both loads.
-        let (v0, v1) = unsafe { (load(a, i), load(a, i + LANES)) };
-        let bytes = _mm256_add_epi8(byte_counts(v0, lut, low), byte_counts(v1, lut, low));
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
-        i += 2 * LANES;
-    }
-    lane_sum(acc) + a[i..].iter().map(|&w| w.count_ones() as u64).sum::<u64>()
+    a.iter().map(|&w| w.count_ones() as u64).sum()
 }
 
 /// Load one 256-bit vector from `words[i..i + 4]`.
@@ -251,116 +121,6 @@ fn subset_kernel(a: &[u64], b: &[u64]) -> bool {
         i += LANES;
     }
     a[i..n].iter().zip(&b[i..n]).all(|(&x, &y)| x & !y == 0)
-}
-
-/// True iff the slices share at least one set bit.
-#[target_feature(enable = "avx2,popcnt")]
-fn intersects_kernel(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let mut i = 0usize;
-    while i + LANES <= n {
-        // SAFETY: `i + LANES <= n` bounds both loads.
-        let (va, vb) = unsafe { (load(a, i), load(b, i)) };
-        if _mm256_testz_si256(va, vb) == 0 {
-            return true;
-        }
-        i += LANES;
-    }
-    a[i..n].iter().zip(&b[i..n]).any(|(&x, &y)| x & y != 0)
-}
-
-/// `|a ∩ b|` — vector AND, scalar `popcnt` per word; past
-/// [`VECTOR_POPCOUNT_WORDS`] the AND feeds the nibble-LUT counter
-/// instead, so the whole kernel stays in vector registers.
-#[target_feature(enable = "avx2,popcnt")]
-fn intersection_count_kernel(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    if n >= VECTOR_POPCOUNT_WORDS {
-        return intersection_count_nibble_lut(&a[..n], &b[..n]);
-    }
-    let mut i = 0usize;
-    let mut acc = 0u64;
-    while i + LANES <= n {
-        // SAFETY: `i + LANES <= n` bounds both loads.
-        let (va, vb) = unsafe { (load(a, i), load(b, i)) };
-        let and = _mm256_and_si256(va, vb);
-        // SAFETY: `__m256i` is plain 256-bit data, layout-identical to
-        // four `u64` lanes.
-        let words: [u64; LANES] = unsafe { std::mem::transmute(and) };
-        acc += words[0].count_ones() as u64
-            + words[1].count_ones() as u64
-            + words[2].count_ones() as u64
-            + words[3].count_ones() as u64;
-        i += LANES;
-    }
-    acc + a[i..n]
-        .iter()
-        .zip(&b[i..n])
-        .map(|(&x, &y)| (x & y).count_ones() as u64)
-        .sum::<u64>()
-}
-
-/// The large-slice body of [`intersection_count`]: AND two vector pairs
-/// per step and run the result through the same nibble-LUT byte counts
-/// as [`popcount_nibble_lut`]. Caller has equalized the lengths.
-#[target_feature(enable = "avx2")]
-fn intersection_count_nibble_lut(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    let lut = nibble_lut();
-    let low = _mm256_set1_epi8(0x0f);
-    let zero = _mm256_setzero_si256();
-    let mut acc = zero;
-    let mut i = 0usize;
-    while i + 2 * LANES <= a.len() {
-        // SAFETY: `i + 2·LANES <= len` bounds all four loads.
-        let (va0, vb0) = unsafe { (load(a, i), load(b, i)) };
-        let (va1, vb1) = unsafe { (load(a, i + LANES), load(b, i + LANES)) };
-        let and0 = _mm256_and_si256(va0, vb0);
-        let and1 = _mm256_and_si256(va1, vb1);
-        let bytes = _mm256_add_epi8(byte_counts(and0, lut, low), byte_counts(and1, lut, low));
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
-        i += 2 * LANES;
-    }
-    lane_sum(acc)
-        + a[i..]
-            .iter()
-            .zip(&b[i..])
-            .map(|(&x, &y)| (x & y).count_ones() as u64)
-            .sum::<u64>()
-}
-
-/// `out = a & b`.
-#[target_feature(enable = "avx2,popcnt")]
-fn and_into_kernel(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x & y;
-    }
-}
-
-/// `a &= b` in place.
-#[target_feature(enable = "avx2,popcnt")]
-fn and_assign_kernel(a: &mut [u64], b: &[u64]) {
-    for (x, &y) in a.iter_mut().zip(b.iter()) {
-        *x &= y;
-    }
-}
-
-/// `out = a | b`.
-#[target_feature(enable = "avx2,popcnt")]
-fn or_into_kernel(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x | y;
-    }
-}
-
-/// `out = a & !b`.
-#[target_feature(enable = "avx2,popcnt")]
-fn and_not_into_kernel(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x & !y;
-    }
 }
 
 /// `x ⊆ r` for some row `r` of `rows` (row-major, width = `x.len()`).

@@ -1,46 +1,48 @@
 //! # `jim-simd` — runtime-dispatched kernels for the bitset hot loops
 //!
-//! Every step of JIM's inference — signature computation `Θ(t)`, the
-//! upper bound `U`, negative-antichain subsumption sweeps, the
-//! informative-group partition — reduces to subset / AND-NOT / popcount
-//! operations over packed `u64` bitsets. This crate provides those
-//! kernels once, behind a runtime backend dispatch, so `jim-core` keeps
-//! its `#![forbid(unsafe_code)]` while the hot loops get vectorized:
+//! JIM's inference reduces to subset / AND / popcount operations over
+//! packed `u64` bitsets. The pairwise operations are plain inline word
+//! loops in `jim-core`'s `AtomSet`; a call through a dispatch layer costs
+//! more than the one or few words they touch. This crate keeps the three
+//! kernels that run behind a runtime backend choice, so `jim-core` keeps
+//! its `#![forbid(unsafe_code)]` while they still reach the hardware:
 //!
 //! ```text
 //!           ┌───────────────────────────────┐
-//!           │  dispatch (once per process,  │
-//!           │  or once per *sweep* for the  │
-//!           │  batch entry points)          │
-//!           └──────┬──────────┬─────────┬───┘
-//!        JIM_SIMD=off    =generic    =avx2 / auto-detected
-//!               │            │           │
-//!         scalar.rs    generic.rs    avx2.rs
-//!        (reference   (portable 4-  (vpandn+vptest,
-//!         word loop)   wide u64)     hardware popcnt)
+//!           │  dispatch (once per process;  │
+//!           │  one call per popcount or per │
+//!           │  whole batch sweep)           │
+//!           └──────┬─────────────────┬──────┘
+//!      JIM_SIMD=off (or no AVX2)    =avx2 / auto-detected
+//!                  │                 │
+//!             scalar.rs           avx2.rs
+//!         (reference word      (hardware popcnt,
+//!          loops)               vpandn+vptest sweeps)
 //! ```
 //!
+//! * **Kernels.** [`popcount`] (hardware `popcnt` is reachable only
+//!   inside a `target_feature` context, so `AtomSet::len` calls it), and
+//!   the two batch sweeps [`subset_any`] and [`subsumed_mask`], which
+//!   take row-major packed buffers and run the whole sweep inside one
+//!   backend selection — one dispatch per sweep, not per pair. They are
+//!   what `jim-core`'s version space and candidate index call for their
+//!   antichain subsumption sweeps.
 //! * **Backends.** [`Backend::Off`] is the plain word-at-a-time scalar
-//!   loop (the reference semantics), [`Backend::Generic`] a portable
-//!   4-wide-unrolled `u64` path, [`Backend::Avx2`] the x86_64 vector
-//!   path compiled with `#[target_feature(enable = "avx2,popcnt")]` and
-//!   guarded by `is_x86_feature_detected!` — never selected on a CPU
-//!   that lacks it.
+//!   loop (the reference semantics, and the portable fallback);
+//!   [`Backend::Avx2`] is the x86_64 path compiled with
+//!   `#[target_feature(enable = "avx2,popcnt")]` and guarded by
+//!   `is_x86_feature_detected!` — never selected on a CPU that lacks it.
 //! * **Selection.** Resolved once per process: an explicit [`force`]
-//!   call wins, then the `JIM_SIMD=off|generic|avx2` environment
-//!   variable, then the best detected backend ([`Backend::Avx2`] where
-//!   available, else [`Backend::Generic`]). [`active`] reports the
-//!   choice; servers log it so deployments can confirm AVX2 is live.
-//! * **Batch entry points.** [`subset_any`] and [`subsumed_mask`] take
-//!   row-major packed buffers and run the whole sweep inside one
-//!   backend selection — one dispatch per sweep, not per pair — which
-//!   is what `jim-core`'s candidate index calls for its antichain
-//!   subsumption sweeps.
+//!   call wins, then the `JIM_SIMD=off|avx2` environment variable
+//!   (`scalar` is an alias of `off`), then the best detected backend
+//!   ([`Backend::Avx2`] where available, else [`Backend::Off`]).
+//!   [`active`] reports the choice; servers log it so deployments can
+//!   confirm AVX2 is live.
 //!
 //! The per-backend kernels are also exposed as methods on [`Backend`]
 //! (e.g. [`Backend::popcount`]) so the equivalence property tests can
-//! pin `generic` and `avx2` against the scalar reference directly,
-//! whatever backend is active.
+//! pin `avx2` against the scalar reference directly, whatever backend is
+//! active.
 //!
 //! Like `jim-aio`, this is a deliberately confined `unsafe` surface:
 //! every `unsafe` token lives in `avx2.rs` (raw-pointer vector loads
@@ -53,7 +55,6 @@
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-mod generic;
 mod scalar;
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -61,24 +62,21 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// A kernel backend. Ordered worst-to-best so resolution can pick `max`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Backend {
-    /// Plain word-at-a-time scalar loops — the reference semantics
-    /// (`JIM_SIMD=off`).
+    /// Plain word-at-a-time scalar loops — the reference semantics and
+    /// the portable fallback (`JIM_SIMD=off`).
     Off,
-    /// Portable `u64`-chunked loops, 4-wide unrolled; runs everywhere.
-    Generic,
     /// 256-bit AVX2 + hardware popcnt; x86_64 with runtime detection.
     Avx2,
 }
 
 impl Backend {
     /// Every backend, worst-to-best.
-    pub const ALL: [Backend; 3] = [Backend::Off, Backend::Generic, Backend::Avx2];
+    pub const ALL: [Backend; 2] = [Backend::Off, Backend::Avx2];
 
     /// The name used by `JIM_SIMD` and reported in logs/metrics.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Off => "off",
-            Backend::Generic => "generic",
             Backend::Avx2 => "avx2",
         }
     }
@@ -87,7 +85,6 @@ impl Backend {
     pub fn parse(s: &str) -> Option<Backend> {
         match s.to_ascii_lowercase().as_str() {
             "off" | "scalar" => Some(Backend::Off),
-            "generic" => Some(Backend::Generic),
             "avx2" => Some(Backend::Avx2),
             _ => None,
         }
@@ -96,7 +93,7 @@ impl Backend {
     /// True iff this backend can run on the current CPU.
     pub fn available(self) -> bool {
         match self {
-            Backend::Off | Backend::Generic => true,
+            Backend::Off => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => avx2::available(),
             #[cfg(not(target_arch = "x86_64"))]
@@ -108,116 +105,10 @@ impl Backend {
     pub fn popcount(self, a: &[u64]) -> u64 {
         match self.checked() {
             Backend::Off => scalar::popcount(a),
-            Backend::Generic => generic::popcount(a),
             #[cfg(target_arch = "x86_64")]
             // `checked()` only yields Avx2 when detection passed, which is
             // what the safe avx2 entry points debug-assert.
             Backend::Avx2 => avx2::popcount(a),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `a ⊆ b` word-wise (`a & !b == 0`). Slices must be equal length.
-    pub fn subset(self, a: &[u64], b: &[u64]) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::subset(a, b),
-            Backend::Generic => generic::subset(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::subset(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// True iff the slices share at least one set bit.
-    pub fn intersects(self, a: &[u64], b: &[u64]) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::intersects(a, b),
-            Backend::Generic => generic::intersects(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::intersects(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `|a ∩ b|`.
-    pub fn intersection_count(self, a: &[u64], b: &[u64]) -> u64 {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::intersection_count(a, b),
-            Backend::Generic => generic::intersection_count(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::intersection_count(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `out = a & b`. All three slices must be equal length.
-    pub fn and_into(self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        match self.checked() {
-            Backend::Off => scalar::and_into(a, b, out),
-            Backend::Generic => generic::and_into(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::and_into(a, b, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `a &= b` in place. Slices must be equal length.
-    pub fn and_assign(self, a: &mut [u64], b: &[u64]) {
-        debug_assert_eq!(a.len(), b.len());
-        match self.checked() {
-            Backend::Off => scalar::and_assign(a, b),
-            Backend::Generic => generic::and_assign(a, b),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::and_assign(a, b),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `out = a | b`. All three slices must be equal length.
-    pub fn or_into(self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        match self.checked() {
-            Backend::Off => scalar::or_into(a, b, out),
-            Backend::Generic => generic::or_into(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::or_into(a, b, out),
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
-        }
-    }
-
-    /// `out = a & !b`. All three slices must be equal length.
-    pub fn and_not_into(self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        debug_assert!(a.len() == b.len() && b.len() == out.len());
-        match self.checked() {
-            Backend::Off => scalar::and_not_into(a, b, out),
-            Backend::Generic => generic::and_not_into(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // `checked()` only yields Avx2 when detection passed, which is
-            // what the safe avx2 entry points debug-assert.
-            Backend::Avx2 => avx2::and_not_into(a, b, out),
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => unreachable!("unavailable backends are demoted by checked()"),
         }
@@ -231,7 +122,6 @@ impl Backend {
         debug_assert!(x.is_empty() || rows.len().is_multiple_of(x.len()));
         match self.checked() {
             Backend::Off => scalar::subset_any(x, rows),
-            Backend::Generic => generic::subset_any(x, rows),
             #[cfg(target_arch = "x86_64")]
             // `checked()` only yields Avx2 when detection passed, which is
             // what the safe avx2 entry points debug-assert.
@@ -252,7 +142,6 @@ impl Backend {
         );
         match self.checked() {
             Backend::Off => scalar::subsumed_mask(rows, negs, width, out),
-            Backend::Generic => generic::subsumed_mask(rows, negs, width, out),
             #[cfg(target_arch = "x86_64")]
             // `checked()` only yields Avx2 when detection passed, which is
             // what the safe avx2 entry points debug-assert.
@@ -262,14 +151,14 @@ impl Backend {
         }
     }
 
-    /// Demote an unavailable backend to the best available one, so the
-    /// AVX2 entry points (whose kernels assume the features exist) are
+    /// Demote an unavailable backend to the portable `Off`, so the AVX2
+    /// entry points (whose kernels assume the features exist) are
     /// reachable only behind a passed feature check even if a caller
     /// conjures `Backend::Avx2` on the wrong CPU.
     #[inline]
     fn checked(self) -> Backend {
         if self == Backend::Avx2 && !self.available() {
-            return Backend::Generic;
+            return Backend::Off;
         }
         self
     }
@@ -277,16 +166,14 @@ impl Backend {
     fn code(self) -> u8 {
         match self {
             Backend::Off => 1,
-            Backend::Generic => 2,
-            Backend::Avx2 => 3,
+            Backend::Avx2 => 2,
         }
     }
 
     fn from_code(code: u8) -> Option<Backend> {
         match code {
             1 => Some(Backend::Off),
-            2 => Some(Backend::Generic),
-            3 => Some(Backend::Avx2),
+            2 => Some(Backend::Avx2),
             _ => None,
         }
     }
@@ -302,7 +189,7 @@ impl std::fmt::Display for Backend {
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// The backend every dispatching kernel uses. Resolved on first call —
-/// [`force`] override, then `JIM_SIMD=off|generic|avx2`, then the best
+/// [`force`] override, then `JIM_SIMD=off|avx2`, then the best
 /// the CPU supports — and cached for the life of the process.
 pub fn active() -> Backend {
     match Backend::from_code(ACTIVE.load(Ordering::Relaxed)) {
@@ -349,7 +236,7 @@ fn resolve() -> Backend {
                 b.name()
             ),
             None => eprintln!(
-                "jim-simd: unrecognized JIM_SIMD={v:?} (expected off|generic|avx2); \
+                "jim-simd: unrecognized JIM_SIMD={v:?} (expected off|avx2); \
                  falling back to auto-detection"
             ),
         }
@@ -357,48 +244,13 @@ fn resolve() -> Backend {
     if Backend::Avx2.available() {
         Backend::Avx2
     } else {
-        Backend::Generic
+        Backend::Off
     }
 }
 
 /// Number of set bits across the slice, on the [`active`] backend.
 pub fn popcount(a: &[u64]) -> u64 {
     active().popcount(a)
-}
-
-/// `a ⊆ b` word-wise, on the [`active`] backend.
-pub fn subset(a: &[u64], b: &[u64]) -> bool {
-    active().subset(a, b)
-}
-
-/// True iff the slices share a set bit, on the [`active`] backend.
-pub fn intersects(a: &[u64], b: &[u64]) -> bool {
-    active().intersects(a, b)
-}
-
-/// `|a ∩ b|`, on the [`active`] backend.
-pub fn intersection_count(a: &[u64], b: &[u64]) -> u64 {
-    active().intersection_count(a, b)
-}
-
-/// `out = a & b`, on the [`active`] backend.
-pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    active().and_into(a, b, out)
-}
-
-/// `a &= b` in place, on the [`active`] backend.
-pub fn and_assign(a: &mut [u64], b: &[u64]) {
-    active().and_assign(a, b)
-}
-
-/// `out = a | b`, on the [`active`] backend.
-pub fn or_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    active().or_into(a, b, out)
-}
-
-/// `out = a & !b`, on the [`active`] backend.
-pub fn and_not_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    active().and_not_into(a, b, out)
 }
 
 /// Batch subset-of-any sweep (see [`Backend::subset_any`]), one dispatch.
@@ -423,13 +275,13 @@ mod tests {
         assert_eq!(Backend::parse("AVX2"), Some(Backend::Avx2));
         assert_eq!(Backend::parse("scalar"), Some(Backend::Off));
         assert_eq!(Backend::parse("neon"), None);
+        assert_eq!(Backend::parse("generic"), None);
         assert_eq!(Backend::Avx2.to_string(), "avx2");
     }
 
     #[test]
-    fn off_and_generic_always_available() {
+    fn off_always_available() {
         assert!(Backend::Off.available());
-        assert!(Backend::Generic.available());
     }
 
     #[test]
@@ -449,10 +301,8 @@ mod tests {
         assert_eq!(active(), Backend::Off);
         assert_eq!(active_name(), "off");
         assert_eq!(popcount(&[0b1011, u64::MAX]), 3 + 64);
-        force(Some(Backend::Generic));
-        assert_eq!(active(), Backend::Generic);
-        assert!(subset(&[0b0011], &[0b0111]));
-        assert!(!subset(&[0b1000], &[0b0111]));
+        assert!(subset_any(&[0b0011], &[0b1000, 0b0111]));
+        assert!(!subset_any(&[0b1000], &[0b0111]));
         force(None);
         // Re-resolution lands on something runnable.
         assert!(active().available());

@@ -1,10 +1,9 @@
 //! The `off` backend: plain word-at-a-time scalar loops.
 //!
-//! These are the reference semantics — exactly the loops `jim-core`'s
-//! bitset ran before the kernel crate existed. The equivalence property
-//! tests pin every other backend against this module, and `JIM_SIMD=off`
-//! selects it at runtime for A/B measurement and for ruling the kernel
-//! layer out when debugging.
+//! These are the reference semantics. The equivalence property tests pin
+//! the AVX2 backend against this module, it is what auto-detection falls
+//! back to on CPUs without AVX2, and `JIM_SIMD=off` selects it at runtime
+//! for A/B measurement and for ruling the kernel layer out when debugging.
 
 /// Number of set bits across the slice.
 pub fn popcount(a: &[u64]) -> u64 {
@@ -12,49 +11,8 @@ pub fn popcount(a: &[u64]) -> u64 {
 }
 
 /// `a ⊆ b`, i.e. `a & !b == 0` word-wise. Slices must be equal length.
-pub fn subset(a: &[u64], b: &[u64]) -> bool {
+fn subset(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b.iter()).all(|(&x, &y)| x & !y == 0)
-}
-
-/// True iff the slices share at least one set bit.
-pub fn intersects(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b.iter()).any(|(&x, &y)| x & y != 0)
-}
-
-/// `|a ∩ b|`.
-pub fn intersection_count(a: &[u64], b: &[u64]) -> u64 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| (x & y).count_ones() as u64)
-        .sum()
-}
-
-/// `out = a & b`.
-pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x & y;
-    }
-}
-
-/// `a &= b` in place.
-pub fn and_assign(a: &mut [u64], b: &[u64]) {
-    for (x, &y) in a.iter_mut().zip(b.iter()) {
-        *x &= y;
-    }
-}
-
-/// `out = a | b`.
-pub fn or_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x | y;
-    }
-}
-
-/// `out = a & !b`.
-pub fn and_not_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = x & !y;
-    }
 }
 
 /// `x ⊆ r` for some row `r` of `rows` (row-major, width = `x.len()`).

@@ -211,8 +211,9 @@ proptest! {
 
     /// The incrementally maintained candidate index equals a from-scratch
     /// reclassification of all groups after **any** random label sequence
-    /// (positives, negatives, wasted labels) and mid-session absorbs — the
-    /// equivalence contract of the de-materialized hot path.
+    /// (positives, negatives, wasted labels), starting from a prefix
+    /// sample of the product — the equivalence contract of the
+    /// de-materialized hot path.
     #[test]
     fn incremental_index_matches_recompute(
         r1 in arb_relation("p", 2..=3, 2..=7, 3),
@@ -233,14 +234,14 @@ proptest! {
         let p = Product::new(vec![&r1, &r2]).unwrap();
         prop_assume!(!p.is_empty());
 
-        // Start from a prefix sample so absorb_ids is on the tested path.
+        // Start from a prefix sample so `Engine::from_ids` is on the
+        // tested path.
         let prefix = (p.size() / start_fraction).max(1);
         let ids: Vec<jim::relation::ProductId> =
             (0..prefix).map(jim::relation::ProductId).collect();
         let mut engine =
             Engine::from_ids(p.clone(), &ids, &EngineOptions::default()).unwrap();
 
-        let mut absorbed = false;
         for (step, pick) in picks.iter().enumerate() {
             prop_assert_eq!(
                 sorted(engine.candidates().candidates().to_vec()),
@@ -253,14 +254,6 @@ proptest! {
             );
             if engine.is_resolved() {
                 break;
-            }
-            if !absorbed && step == picks.len() / 2 {
-                // Widen the sample mid-session.
-                let all: Vec<jim::relation::ProductId> =
-                    (0..p.size()).map(jim::relation::ProductId).collect();
-                engine.absorb_ids(&all).unwrap();
-                absorbed = true;
-                continue;
             }
             // Label a random informative representative. Both labels are
             // consistent for an informative tuple by definition.
@@ -349,9 +342,9 @@ proptest! {
         prop_assert_eq!(bs.informative, ss.informative);
     }
 
-    /// The generation counter strictly increases on every label and on
-    /// every absorb that adds tuples — the invalidation signal owned
-    /// caches (the server's question cache) rely on.
+    /// The generation counter strictly increases on every label — the
+    /// invalidation signal owned caches (the server's question cache)
+    /// rely on.
     #[test]
     fn generation_tracks_mutations(
         r1 in arb_relation("p", 2..=2, 2..=6, 3),
